@@ -1,0 +1,6 @@
+"""perfbench — the repository benchmark for the Raincore reproduction.
+
+Entry point: ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root.  See
+``perfbench/README.md`` for the workloads, the metrics and the layer map.
+"""
