@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--metrics", action="store_true",
-        help="export the metrics registry instead of the probe event stream",
+        help="export the probe-stream rollup (StreamAggregator) as one "
+        "JSON line instead of the probe event stream",
     )
     q.add_argument(
         "--out", metavar="FILE.jsonl",
@@ -677,8 +678,16 @@ def cmd_obs(args) -> int:
             print(divergence.describe())
         return 0 if divergence is None else 1
 
+    run = None
+    bundle: dict | None = None
     if args.obs_command == "summary" and args.file:
-        from repro.obs import load_bundle, load_events, render_alerts
+        from repro.obs import (
+            StreamAggregator,
+            bundle_events,
+            event_from_record,
+            load_bundle,
+            load_events,
+        )
 
         try:
             bundle = load_bundle(args.file)
@@ -694,10 +703,7 @@ def cmd_obs(args) -> int:
             if bundle.get("detail"):
                 print(f"  detail: {bundle['detail']}")
             print(f"  nodes: {', '.join(bundle['nodes'])}")
-            records = [
-                {"kind": e["kind"], "node": e["node"]}
-                for e in bundle["events"]
-            ]
+            events = bundle_events(bundle)
         else:
             try:
                 records = load_events(args.file)
@@ -710,36 +716,27 @@ def cmd_obs(args) -> int:
                 f"capture {args.file}: {len(records)} events over "
                 f"{max(ats) - min(ats):.3f}s"
             )
-        by_kind: dict[str, int] = {}
-        by_node: dict[str, int] = {}
-        for r in records:
-            by_kind[r["kind"]] = by_kind.get(r["kind"], 0) + 1
-            by_node[r["node"]] = by_node.get(r["node"], 0) + 1
-        print(
-            "by node: " + "  ".join(f"{n}={c}" for n, c in sorted(by_node.items()))
+            events = [event_from_record(r) for r in records]
+        aggregator = StreamAggregator()
+        aggregator.observe_all(events)
+    else:
+        from repro.obs.scenario import run_quickstart
+
+        run = run_quickstart(
+            nodes=args.nodes,
+            seed=args.seed,
+            duration=args.duration,
+            crash=not args.no_crash,
         )
-        print("by kind:")
-        for kind, count in sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"  {kind:<20} {count}")
-        if bundle is not None and bundle.get("alerts"):
-            print(render_alerts(bundle["alerts"]))
-        return 0
-
-    from repro.obs.scenario import run_quickstart
-
-    run = run_quickstart(
-        nodes=args.nodes,
-        seed=args.seed,
-        duration=args.duration,
-        crash=not args.no_crash,
-    )
+        events = run.events
+        aggregator = run.aggregator
     if args.obs_command == "export":
-        from repro.obs import events_to_jsonl
+        from repro.obs import events_to_jsonl, rollup_json
 
         text = (
-            run.registry.to_jsonl()
+            rollup_json(aggregator.to_dict())
             if args.metrics
-            else events_to_jsonl(run.events)
+            else events_to_jsonl(events)
         )
         if args.out:
             try:
@@ -756,32 +753,39 @@ def cmd_obs(args) -> int:
             print(text)
         return 0
 
-    # summary
+    # summary: one rollup, whichever source fed it
     if quiet:
         return 0
-    by_kind: dict[str, int] = {}
-    by_node: dict[str, int] = {}
-    for e in run.events:
-        by_kind[e.kind] = by_kind.get(e.kind, 0) + 1
-        by_node[e.node] = by_node.get(e.node, 0) + 1
+    if run is not None:
+        print(
+            f"quickstart scenario: nodes={args.nodes} seed={args.seed} "
+            f"duration={args.duration:g} (virtual {run.cluster.loop.now:.3f}s)"
+        )
+        print(f"probe events: {run.bus.events_emitted}")
+    rollup = aggregator.to_dict()
     print(
-        f"quickstart scenario: nodes={args.nodes} seed={args.seed} "
-        f"duration={args.duration:g} (virtual {run.cluster.loop.now:.3f}s)"
+        "by node: "
+        + "  ".join(f"{n}={d['events']}" for n, d in rollup["per_node"].items())
     )
-    print(f"probe events: {run.bus.events_emitted}")
-    print("by node: " + "  ".join(f"{n}={c}" for n, c in sorted(by_node.items())))
     print("by kind:")
-    for kind, count in sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0])):
+    for kind, count in sorted(
+        rollup["by_kind"].items(), key=lambda kv: (-kv[1], kv[0])
+    ):
         print(f"  {kind:<20} {count}")
-    print("token inter-arrival (per node):")
-    histograms = run.registry.to_dict()["histograms"]
-    for node in sorted(histograms):
-        s = histograms[node].get("token.interarrival")
-        if s:
-            print(
-                f"  {node}: n={s['count']} mean={s['mean'] * 1e3:.2f}ms "
-                f"p95={s.get('p95', 0.0) * 1e3:.2f}ms"
-            )
+    if run is not None:
+        print("token inter-arrival (per node):")
+        for node, d in rollup["per_node"].items():
+            gap = d["token_gap"]
+            if gap["count"]:
+                print(
+                    f"  {node}: n={gap['count']} "
+                    f"mean={gap['total'] / gap['count'] * 1e3:.2f}ms "
+                    f"max={gap['max'] * 1e3:.2f}ms"
+                )
+    if bundle is not None and bundle.get("alerts"):
+        from repro.obs import render_alerts
+
+        print(render_alerts(bundle["alerts"]))
     return 0
 
 
@@ -1148,6 +1152,26 @@ def cmd_soak(args) -> int:
     return 0 if ok and dupes == 0 else 1
 
 
+def _run_chaos_schedule(schedule, fail_on_alerts: bool) -> tuple:
+    """Run one schedule, print its alerts and verdict, and return
+    ``(result, exit code)``: 1 on failure, or on alerts under
+    ``--fail-on-alerts``."""
+    from repro.chaos import ChaosEngine
+    from repro.obs import render_alerts
+
+    result = ChaosEngine(schedule).run()
+    if result.alerts:
+        print(render_alerts(result.alerts))
+    if not result.ok:
+        print(f"FAILED [{result.failure}] {result.detail}")
+        return result, 1
+    print(f"clean ({result.stats['deliveries']} deliveries)")
+    if fail_on_alerts and result.alerts:
+        print("failing: contract alerts fired (--fail-on-alerts)")
+        return result, 1
+    return result, 0
+
+
 def cmd_chaos(args) -> int:
     from repro.chaos import ChaosEngine, Schedule, run_campaign, shrink_schedule
 
@@ -1197,18 +1221,9 @@ def cmd_chaos(args) -> int:
             f"seconds={params.seconds:g} seed={params.seed} "
             f"ops={len(schedule.ops)}"
         )
-        result = ChaosEngine(schedule).run()
-        if result.alerts:
-            from repro.obs import render_alerts
-
-            print(render_alerts(result.alerts))
+        result, code = _run_chaos_schedule(schedule, args.fail_on_alerts)
         if result.ok:
-            print(f"clean ({result.stats['deliveries']} deliveries)")
-            if args.fail_on_alerts and result.alerts:
-                print("failing: contract alerts fired (--fail-on-alerts)")
-                return 1
-            return 0
-        print(f"FAILED [{result.failure}] {result.detail}")
+            return code
         if result.bundle is not None:
             import os
 
@@ -1267,19 +1282,7 @@ def cmd_chaos(args) -> int:
             f"long partition: isolating {','.join(isolated)} for "
             f"{duration:g}s at t={at:g}s (window {args.seconds:g}s)"
         )
-        result = ChaosEngine(schedule).run()
-        if result.alerts:
-            from repro.obs import render_alerts
-
-            print(render_alerts(result.alerts))
-        if result.ok:
-            print(f"clean ({result.stats['deliveries']} deliveries)")
-            if args.fail_on_alerts and result.alerts:
-                print("failing: contract alerts fired (--fail-on-alerts)")
-                return 1
-            return 0
-        print(f"FAILED [{result.failure}] {result.detail}")
-        return 1
+        return _run_chaos_schedule(schedule, args.fail_on_alerts)[1]
 
     if args.print_trace:
         from repro.chaos import ChaosParams

@@ -1,11 +1,9 @@
 """repro.obs — deterministic cross-layer observability.
 
-Six pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
+Eight pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
 
 * :mod:`repro.obs.probe` — the probe bus: typed, zero-cost-when-disabled
   event emission from every layer, with the probe catalogue.
-* :mod:`repro.obs.registry` — counters/gauges/histograms with sim-time
-  windowing, unifying the ad-hoc ``NodeStats`` counters into one export.
 * :mod:`repro.obs.recorder` — the flight recorder (bounded per-node event
   rings) and failure-time diagnostic bundles.
 * :mod:`repro.obs.monitor` — the contract monitor: a live SLO rules
@@ -18,8 +16,9 @@ Six pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
   non-deterministic channel (docs/PROFILING.md).
 * :mod:`repro.obs.spans` — span/episode reconstruction over the probe
   stream (token laps, 911 episodes, merge windows, resync ladders).
-* :mod:`repro.obs.agg` — bounded-state streaming aggregation with
-  deterministic cross-shard merge.
+* :mod:`repro.obs.agg` — the probe-stream rollup: bounded-state
+  streaming aggregation with deterministic cross-shard merge, used by the
+  chaos bundles, ``repro obs summary|export --metrics`` and raintap.
 """
 
 from repro.obs.agg import (
@@ -70,13 +69,6 @@ from repro.obs.recorder import (
     render_bundle,
     render_chain,
 )
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ProbeMetrics,
-)
 from repro.obs.spans import Span, SpanTimeline, reconstruct_spans
 
 __all__ = [
@@ -109,11 +101,6 @@ __all__ = [
     "load_bundle",
     "render_bundle",
     "render_chain",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ProbeMetrics",
     "CONTRACT_RULES",
     "Alert",
     "ContractMonitor",

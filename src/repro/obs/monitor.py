@@ -483,7 +483,6 @@ def paper_contract_rules(
     if detection_bound is None:
         detection_bound = config.transport.failure_detection_bound(segments)
     if bandwidth_budget is None:
-        visits_per_sec = 1.0 / max(1, n_nodes) / hop * max(1, n_nodes)
         # one token forward per hop interval is the worst case a single
         # node can legally sustain (it forwards only when it holds the
         # token, but a 2-member view visits every 2*hop); budget on the

@@ -4,8 +4,8 @@
 need the *same* short, fully seeded scenario so that their outputs are
 comparable (and, for the tests, byte-identical across runs).  This module
 is that scenario: form a group, multicast, crash the last member, recover
-it — the CLI quickstart, but with the probe bus, a flight recorder and the
-probe-derived metrics attached from the first event.
+it — the CLI quickstart, but with the probe bus and a
+:class:`~repro.obs.agg.StreamAggregator` attached from the first event.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.harness import RaincoreCluster
+from repro.obs.agg import StreamAggregator
 from repro.obs.probe import ProbeBus, ProbeEvent
-from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import MetricsRegistry, ProbeMetrics
 
 __all__ = ["ScenarioRun", "run_quickstart"]
 
@@ -28,8 +27,7 @@ class ScenarioRun:
     bus: ProbeBus
     #: complete probe stream in emission order (not ring-bounded)
     events: list[ProbeEvent] = field(default_factory=list)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    recorder: FlightRecorder | None = None
+    aggregator: StreamAggregator = field(default_factory=StreamAggregator)
 
 
 def run_quickstart(
@@ -38,12 +36,11 @@ def run_quickstart(
     duration: float = 1.0,
     *,
     crash: bool = True,
-    recorder_capacity: int = 512,
 ) -> ScenarioRun:
     """Run the quickstart scenario with full observability attached.
 
     Deterministic in ``(nodes, seed, duration, crash)``: the returned
-    event stream and metrics are byte-stable across runs with equal
+    event stream and rollup are byte-stable across runs with equal
     arguments (the determinism golden test pins this).
     """
     ids = [chr(ord("A") + i) for i in range(nodes)]
@@ -51,8 +48,7 @@ def run_quickstart(
     bus = cluster.enable_probes()
     run = ScenarioRun(cluster=cluster, bus=bus)
     bus.subscribe(run.events.append)
-    run.recorder = FlightRecorder(bus, capacity=recorder_capacity)
-    ProbeMetrics(bus, run.registry)
+    run.aggregator.attach(bus)
 
     cluster.start_all()
     cluster.node(ids[0]).multicast(b"obs-quickstart")
@@ -63,5 +59,4 @@ def run_quickstart(
         cluster.run_until_converged(5.0, expected=set(ids) - {victim})
         cluster.faults.recover_node(victim)
         cluster.run_until_converged(8.0, expected=set(ids))
-    run.registry.capture_node_stats(cluster.stats)
     return run

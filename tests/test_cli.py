@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -199,6 +202,65 @@ def test_obs_export_quiet_still_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().strip()
+
+
+# ----------------------------------------------------------------------
+# obs summary: one rollup for the scenario, a capture file and a bundle
+# ----------------------------------------------------------------------
+def quickstart_events():
+    from repro.obs.scenario import run_quickstart
+
+    return run_quickstart(nodes=3, seed=5, duration=0.3, crash=False).events
+
+
+def assert_counts_block(out, events):
+    accepts = sum(1 for e in events if e.kind == "token.accept")
+    a_events = sum(1 for e in events if e.node == "A")
+    assert f"by node: A={a_events}  B=" in out
+    assert "by kind:" in out
+    assert f"\n  {'token.accept':<20} {accepts}\n" in out
+
+
+def test_obs_summary_quickstart(capsys):
+    code, out = run_cli(
+        capsys, "obs", "summary", "--nodes", "3", "--seed", "5",
+        "--duration", "0.3", "--no-crash",
+    )
+    assert code == 0
+    assert "quickstart scenario: nodes=3 seed=5" in out
+    assert_counts_block(out, quickstart_events())
+    assert "token inter-arrival (per node):" in out
+    assert re.search(r"\n  A: n=\d+ mean=\d+\.\d\dms max=\d+\.\d\dms\n", out)
+
+
+def test_obs_summary_capture_file(capsys, tmp_path):
+    from repro.obs import event_record
+    from repro.runtime.collector import CAPTURE_SCHEMA
+
+    events = quickstart_events()
+    path = tmp_path / "run.capture.jsonl"
+    lines = [json.dumps({"schema": CAPTURE_SCHEMA})]
+    lines += [json.dumps(event_record(e)) for e in events]
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "obs", "summary", str(path))
+    assert code == 0
+    assert f"capture {path}: {len(events)} events over" in out
+    assert_counts_block(out, events)
+
+
+def test_obs_summary_bundle(capsys, tmp_path):
+    from repro.obs import build_bundle, dump_bundle
+
+    events = quickstart_events()
+    path = dump_bundle(
+        build_bundle("manual", at=0.3, events=events),
+        tmp_path / "run.bundle.json",
+    )
+    code, out = run_cli(capsys, "obs", "summary", str(path))
+    assert code == 0
+    assert "reason=manual" in out
+    assert "  nodes: A, B, C" in out
+    assert_counts_block(out, events)
 
 
 # ----------------------------------------------------------------------
