@@ -3,46 +3,23 @@
 Unlike E1–E12 (which measure *simulated* quantities), this one measures
 wall-clock throughput of the simulator itself — the number a contributor
 watches for performance regressions (CONTRIBUTING.md).  pytest-benchmark's
-timing is the metric here, so these use real rounds.
+timing is the metric here, so these use real rounds.  The workloads are
+the ones ``repro bench`` times (:mod:`repro.perf`).
 """
 
 from __future__ import annotations
 
-from repro.cluster.harness import RaincoreCluster
-from repro.core.config import RaincoreConfig
-from repro.net.eventloop import EventLoop
+from repro import perf
 
 
 def test_event_loop_throughput(benchmark):
     """Dispatch rate of the bare event loop (events/second)."""
-
-    def spin():
-        loop = EventLoop(seed=1)
-        count = 50_000
-        for i in range(count):
-            loop.call_later(i * 1e-6, lambda: None)
-        loop.run_until_idle()
-        return count
-
-    events = benchmark(spin)
-    assert events == 50_000
+    _, loop = benchmark(perf.time_event_loop, 50_000)
+    assert loop.events_processed == 50_000
 
 
 def test_token_ring_throughput(benchmark):
     """Full-stack cost of one simulated second of an 8-node loaded ring."""
-
-    def one_second():
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        cluster.run(1.0)
-        return cluster.loop.events_processed
-
-    events = benchmark(one_second)
+    _, cluster = benchmark(perf.time_ring, 1.0)
     # Sanity: ~200 token hops/second at ~3 events per hop actually ran.
-    assert events > 400
+    assert cluster.loop.events_processed > 400

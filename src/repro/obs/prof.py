@@ -196,11 +196,6 @@ class Profiler:
         elif self.timeline_limit:
             self.timeline_truncated = True
 
-    def record_epoch_wall(self, wall: float) -> None:
-        """Record one externally-timed epoch (used when loops are driven
-        by a harness that brackets epochs itself)."""
-        self.epoch_walls.append(wall)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -6,6 +6,8 @@ much virtual time the chaos campaigns and soak tests can afford.  This
 module measures wall-clock throughput of the three hot paths the substrate
 optimizes — the bare event loop, a loaded 8-node token ring, and the token
 hop pipeline — and reports machine-readable rates for regression tracking.
+Every timed section starts from a freshly collected heap (``gc.collect()``),
+so no run pays for the garbage an earlier run left behind.
 
 .. note::
    This is the one module under ``src/`` allowed to read the wall clock
@@ -58,22 +60,22 @@ report, and can gate on a committed baseline with a relative tolerance.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "QUICK",
     "FULL",
     "SCALING_WORKLOAD",
+    "OVERHEADS",
+    "RingSetup",
+    "time_event_loop",
+    "time_ring",
     "bench_event_loop",
     "bench_loaded_ring",
-    "bench_probe_overhead",
-    "bench_monitor_overhead",
-    "bench_resync_overhead",
-    "bench_prof_overhead",
-    "bench_agg_overhead",
-    "bench_telemetry_overhead",
+    "bench_overhead",
     "bench_shard_scaling",
     "run_suite",
     "write_report",
@@ -99,38 +101,58 @@ SCALING_WORKLOAD = {
     "trunk_latency": 0.02,
 }
 
-#: Metrics where smaller values are improvements.
-_LOWER_IS_BETTER = {
-    "wall_clock_per_sim_second",
-    "probe_overhead_ratio",
-    "monitor_overhead_ratio",
-    "resync_overhead_ratio",
-    "prof_overhead_ratio",
-    "agg_overhead_ratio",
-    "telemetry_overhead_ratio",
-}
-
-
-def bench_event_loop(n_events: int) -> float:
-    """Dispatch ``n_events`` no-op callbacks; return events per wall second."""
+def time_event_loop(n_events: int) -> tuple[float, Any]:
+    """Dispatch ``n_events`` no-op callbacks; return (wall seconds, loop)."""
     from repro.net.eventloop import EventLoop
 
     loop = EventLoop(seed=1)
     callback = lambda: None  # noqa: E731 - cheapest possible event body
     for i in range(n_events):
         loop.call_later(i * 1e-6, callback)
+    gc.collect()
     t0 = time.perf_counter()
     loop.run_until_idle()
-    t1 = time.perf_counter()
-    return n_events / (t1 - t0)
+    return time.perf_counter() - t0, loop
 
 
-def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
-    """Run the reference loaded ring; return (events/s, hops/s, wall per sim s).
+def bench_event_loop(n_events: int) -> float:
+    """Dispatch ``n_events`` no-op callbacks; return events per wall second."""
+    wall, _ = time_event_loop(n_events)
+    return n_events / wall
 
-    The workload mirrors ``benchmarks/bench_simulator.py``: 8 nodes, seed 2,
-    a 5 ms hop interval, and 50 multicasts of 200 bytes queued up front, so
-    numbers stay comparable across harnesses.
+
+def _nothing(*_args: Any) -> None:
+    return None
+
+
+def _multicasts(cluster: Any, _attached: Any) -> None:
+    """The reference load: 50 multicasts of 200 bytes spread over the ring."""
+    for i in range(50):
+        cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
+
+
+class RingSetup(NamedTuple):
+    """What one timed run of the reference ring attaches (see :func:`time_ring`).
+
+    ``attach(cluster)`` runs before formation; its result is handed to
+    ``after_start`` once ``start_all()`` returns, and to ``load``, which
+    queues the timed workload (by default the 50 reference multicasts).
+    """
+
+    attach: Callable[[Any], Any] = _nothing
+    after_start: Callable[[Any], None] = _nothing
+    load: Callable[[Any, Any], None] = _multicasts
+
+
+def time_ring(
+    sim_seconds: float, setup: RingSetup = RingSetup()
+) -> tuple[float, Any]:
+    """Run the reference loaded ring; return (wall seconds, cluster).
+
+    The reference ring is 8 nodes, seed 2 and a 5 ms hop interval, with
+    ``setup`` attached and its load queued after formation.  Only
+    ``cluster.run(sim_seconds)`` is timed, and it starts from a freshly
+    collected heap so no run pays for an earlier run's garbage.
     """
     from repro.cluster.harness import RaincoreCluster
     from repro.core.config import RaincoreConfig
@@ -140,247 +162,108 @@ def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
         seed=2,
         config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
     )
+    attached = setup.attach(cluster)
     cluster.start_all()
-    for i in range(50):
-        cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
+    setup.after_start(attached)
+    setup.load(cluster, attached)
+    gc.collect()
     t0 = time.perf_counter()
     cluster.run(sim_seconds)
-    t1 = time.perf_counter()
-    wall = t1 - t0
+    return time.perf_counter() - t0, cluster
+
+
+def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
+    """Run the reference loaded ring; return (events/s, hops/s, wall per sim s)."""
+    wall, cluster = time_ring(sim_seconds)
     events = cluster.loop.events_processed
     hops = max(cluster.node(nid).local_copy_seq for nid in cluster.node_ids)
     return events / wall, hops / wall, wall / sim_seconds
 
 
-def bench_probe_overhead(sim_seconds: float) -> float:
-    """Instrumentation-overhead ratio of the loaded reference ring.
+def _probed(cluster: Any) -> Any:
+    """Probe bus on with a flight recorder subscribed; returns the recorder."""
+    from repro.obs import FlightRecorder
 
-    Runs the :func:`bench_loaded_ring` workload twice — once as shipped
-    (every probe point is a disabled ``if probe is not None`` check) and
-    once with the probe bus enabled and a flight recorder subscribed —
-    and returns ``enabled_wall / disabled_wall``.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(probed: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        if probed:
-            from repro.obs import FlightRecorder
-
-            FlightRecorder(cluster.enable_probes())
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    disabled = one_run(False)
-    enabled = one_run(True)
-    return enabled / disabled
+    return FlightRecorder(cluster.enable_probes())
 
 
-def bench_monitor_overhead(sim_seconds: float) -> float:
-    """Contract-monitor overhead ratio over the probed reference ring.
+def _monitored(cluster: Any) -> Any:
+    """The probed ring plus a contract monitor holding the paper rule set."""
+    from repro.obs import ContractMonitor, paper_contract_rules
 
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.obs.monitor.ContractMonitor` evaluating the
-    full paper rule set — and returns ``monitored_wall / probed_wall``:
-    what *watching* the contracts costs on top of emitting the probes.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(monitored: bool) -> float:
-        config = RaincoreConfig.tuned(ring_size=8, hop_interval=0.005)
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)], seed=2, config=config
-        )
-        from repro.obs import ContractMonitor, FlightRecorder, paper_contract_rules
-
-        bus = cluster.enable_probes()
-        FlightRecorder(bus)
-        monitor = None
-        if monitored:
-            monitor = ContractMonitor(bus, paper_contract_rules(config, 8))
-        cluster.start_all()
-        if monitor is not None:
-            monitor.start()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    probed = one_run(False)
-    monitored = one_run(True)
-    return monitored / probed
+    _probed(cluster)
+    rules = paper_contract_rules(cluster.config, 8)
+    return ContractMonitor(cluster.enable_probes(), rules)
 
 
-def bench_resync_overhead(sim_seconds: float) -> float:
-    """Bounded-resync bookkeeping overhead on the reference ring.
-
-    Runs the :func:`bench_loaded_ring` workload twice — once with the 50
-    messages as plain multicasts, once as replicated SharedDict writes
-    (which ride the identical agreed-order path but additionally append
-    to the hash-chained segmented log, multicast seal acks and prune on
-    full acknowledgement) — and returns ``replicated_wall / plain_wall``.
-    This prices the *entire* Data Service write path, so it is a coarse
-    upper bound on what the resync layer alone costs.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
+def _replicas(cluster: Any) -> Any:
+    """One SharedDict replica per node, keyed by node id."""
     from repro.data import SharedDict
 
-    def one_run(replicated: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        dicts = (
-            {nid: SharedDict(cluster.node(nid)) for nid in cluster.node_ids}
-            if replicated
-            else None
-        )
-        cluster.start_all()
-        for i in range(50):
-            if dicts is not None:
-                dicts[f"n{i % 8}"].set(f"k{i % 16}", i)
-            else:
-                cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    plain = one_run(False)
-    replicated = one_run(True)
-    return replicated / plain
+    return {nid: SharedDict(cluster.node(nid)) for nid in cluster.node_ids}
 
 
-def bench_prof_overhead(sim_seconds: float) -> float:
-    """Profiler-overhead ratio of the loaded reference ring.
-
-    Runs the :func:`bench_loaded_ring` workload twice — once as shipped
-    (``loop.profile is None``, one attribute load per dispatch) and once
-    with a :class:`~repro.obs.prof.Profiler` attached to the event loop —
-    and returns ``profiled_wall / plain_wall``.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(profiled: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        if profiled:
-            from repro.obs.prof import Profiler
-
-            Profiler().attach(cluster.loop)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    plain = one_run(False)
-    profiled = one_run(True)
-    return profiled / plain
+def _replicated_writes(cluster: Any, replicas: Any) -> None:
+    """The reference load as 50 replicated SharedDict writes."""
+    for i in range(50):
+        replicas[f"n{i % 8}"].set(f"k{i % 16}", i)
 
 
-def bench_agg_overhead(sim_seconds: float) -> float:
-    """Streaming-aggregation overhead ratio over the probed reference ring.
+def _profiled(cluster: Any) -> None:
+    """The hot-path profiler attached to the event loop."""
+    from repro.obs.prof import Profiler
 
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.obs.agg.StreamAggregator` subscribed — and
-    returns ``aggregated_wall / probed_wall``: what folding every probe
-    into bounded per-node reducers costs on top of emitting the probes.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(aggregated: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        from repro.obs import FlightRecorder
-
-        bus = cluster.enable_probes()
-        FlightRecorder(bus)
-        if aggregated:
-            from repro.obs.agg import StreamAggregator
-
-            StreamAggregator().attach(bus)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    probed = one_run(False)
-    aggregated = one_run(True)
-    return aggregated / probed
+    Profiler().attach(cluster.loop)
 
 
-def bench_telemetry_overhead(sim_seconds: float) -> float:
-    """Probe-shipping overhead ratio over the probed reference ring.
+def _aggregated(cluster: Any) -> None:
+    """The probed ring plus a streaming aggregator on the bus."""
+    from repro.obs.agg import StreamAggregator
 
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.runtime.telemetry.TelemetryShipper`
-    subscribed, its sink a no-op — and returns ``shipped_wall /
-    probed_wall``: the per-event restamp + JSON framing cost of the
-    raintap plane, measured without socket noise.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
+    _probed(cluster)
+    StreamAggregator().attach(cluster.enable_probes())
 
-    def one_run(shipped: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        from repro.obs import FlightRecorder
 
-        bus = cluster.enable_probes()
-        recorder = FlightRecorder(bus)
-        if shipped:
-            from repro.runtime.telemetry import TelemetryShipper
+def _shipped(cluster: Any) -> None:
+    """The probed ring plus a telemetry shipper framing into a no-op sink."""
+    from repro.runtime.telemetry import TelemetryShipper
 
-            shipper = TelemetryShipper(
-                "bench", lambda data: None, recorder=recorder
-            )
-            bus.subscribe(shipper.on_probe)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
+    recorder = _probed(cluster)
+    shipper = TelemetryShipper("bench", lambda data: None, recorder=recorder)
+    cluster.enable_probes().subscribe(shipper.on_probe)
 
-    probed = one_run(False)
-    shipped = one_run(True)
-    return shipped / probed
+
+_PLAIN = RingSetup()
+_PROBED = RingSetup(attach=_probed)
+
+#: Overhead-ratio metric -> (base setup, the same with the extra attached).
+#: Each ratio is extra wall / base wall (the module docstring defines them).
+OVERHEADS: dict[str, tuple[RingSetup, RingSetup]] = {
+    "probe_overhead_ratio": (_PLAIN, _PROBED),
+    "monitor_overhead_ratio": (
+        _PROBED,
+        RingSetup(attach=_monitored, after_start=lambda monitor: monitor.start()),
+    ),
+    "resync_overhead_ratio": (
+        _PLAIN,
+        RingSetup(attach=_replicas, load=_replicated_writes),
+    ),
+    "prof_overhead_ratio": (_PLAIN, RingSetup(attach=_profiled)),
+    "agg_overhead_ratio": (_PROBED, RingSetup(attach=_aggregated)),
+    "telemetry_overhead_ratio": (_PROBED, RingSetup(attach=_shipped)),
+}
+
+
+def bench_overhead(metric: str, sim_seconds: float) -> float:
+    """Time one :data:`OVERHEADS` pair, base first; return extra / base wall."""
+    base, extra = OVERHEADS[metric]
+    base_wall, _ = time_ring(sim_seconds, base)
+    extra_wall, _ = time_ring(sim_seconds, extra)
+    return extra_wall / base_wall
+
+
+#: Metrics where smaller values are improvements.
+_LOWER_IS_BETTER = {"wall_clock_per_sim_second", *OVERHEADS}
 
 
 def bench_shard_scaling(
@@ -413,6 +296,7 @@ def bench_shard_scaling(
             sim = ParallelSimulator(
                 "multi_ring", seed=11, params=SCALING_WORKLOAD
             )
+            gc.collect()
             t0 = time.perf_counter()
             result = sim.run(sim_seconds, shards=shards, mode=mode)
             best = min(best, time.perf_counter() - t0)
@@ -454,24 +338,13 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
         key=lambda r: r[0],
     )
     events_per_s, hops_per_s, wall_per_sim = best_ring
-    best_overhead = min(
-        bench_probe_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
-    best_monitor = min(
-        bench_monitor_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
-    best_resync = min(
-        bench_resync_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
-    best_prof = min(
-        bench_prof_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
-    best_agg = min(
-        bench_agg_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
-    best_telemetry = min(
-        bench_telemetry_overhead(knobs["ring_sim_seconds"]) for _ in range(repeats)
-    )
+    best_overheads = {
+        metric: min(
+            bench_overhead(metric, knobs["ring_sim_seconds"])
+            for _ in range(repeats)
+        )
+        for metric in OVERHEADS
+    }
     # The scaling curve spawns process fleets; cap its repeats at 2 to
     # keep suite time sane (the floor on its metric is a coarse guard, not
     # a tight gate — see benchmarks/BENCH_baseline.json).
@@ -493,12 +366,7 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
             "loaded_ring_events_per_sec": round(events_per_s),
             "token_hops_per_sec": round(hops_per_s),
             "wall_clock_per_sim_second": round(wall_per_sim, 6),
-            "probe_overhead_ratio": round(best_overhead, 4),
-            "monitor_overhead_ratio": round(best_monitor, 4),
-            "resync_overhead_ratio": round(best_resync, 4),
-            "prof_overhead_ratio": round(best_prof, 4),
-            "agg_overhead_ratio": round(best_agg, 4),
-            "telemetry_overhead_ratio": round(best_telemetry, 4),
+            **{m: round(r, 4) for m, r in best_overheads.items()},
             "shard_scaling_efficiency_4x": scaling["shard_scaling_efficiency_4x"],
         },
         "shard_scaling": scaling,

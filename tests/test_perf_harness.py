@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from repro import perf
 from repro.cli import main
+from repro.cluster.harness import RaincoreCluster
+from repro.obs import ContractMonitor
 
 
 def test_run_suite_quick_reports_all_metrics():
@@ -32,6 +35,44 @@ def test_run_suite_quick_reports_all_metrics():
     scaling = report["shard_scaling"]
     assert set(scaling["curve"]) == {"1", "2", "4", "8"}
     assert scaling["curve"]["1"]["speedup"] == 1.0
+
+
+def test_every_timed_ring_run_starts_from_a_collected_heap(monkeypatch):
+    calls: list[str] = []
+    real_run = RaincoreCluster.run
+
+    def run(self, duration):
+        calls.append("run")
+        real_run(self, duration)
+
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append("gc") or 0)
+    monkeypatch.setattr(RaincoreCluster, "run", run)
+    perf.run_suite(quick=True, repeats=1)
+    runs = [i for i, call in enumerate(calls) if call == "run"]
+    assert all(i > 0 and calls[i - 1] == "gc" for i in runs)
+    # One loaded ring plus a base and an extra ring per overhead ratio.
+    assert len(runs) == 1 + 2 * len(perf.OVERHEADS)
+
+
+def test_monitor_entry_starts_monitor_after_formation(monkeypatch):
+    formed_at: dict[int, float] = {}
+    started: list[ContractMonitor] = []
+    real_start_all = RaincoreCluster.start_all
+    real_start = ContractMonitor.start
+
+    def start_all(self, *args, **kwargs):
+        real_start_all(self, *args, **kwargs)
+        formed_at[id(self.loop)] = self.loop.now
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(RaincoreCluster, "start_all", start_all)
+    monkeypatch.setattr(ContractMonitor, "start", start)
+    perf.bench_overhead("monitor_overhead_ratio", 0.1)
+    (monitor,) = started
+    assert monitor.started_at >= formed_at[id(monitor.loop)] > 0.0
 
 
 def test_compare_passes_identical_reports():
