@@ -17,13 +17,10 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
 * ``failover`` — the §3.2 cable-unplug experiment;
 * ``merge`` — split-brain and TBM merge walk-through;
 * ``hierarchy`` — the §5 two-plane scalability extension;
-* ``soak`` — randomized churn with invariant checks; ``--procs N`` runs
-  the REAL multi-process soak instead — N workers over localhost UDP
-  with the raintap telemetry plane, gating on clean formation and zero
+* ``top`` — raintap live view of a REAL multi-process cluster: N workers
+  over localhost UDP, the same status lines as ``watch``, SIGKILL fault
+  injection and breach postmortems, gating on clean formation and zero
   wall-clock contract alerts (docs/TELEMETRY.md);
-* ``top`` — raintap live view: per-node state, view id and token rate of
-  a real multi-process cluster, streamed as redraw-free status lines,
-  with SIGKILL fault injection and breach postmortems;
 * ``chaos`` — seeded chaos campaigns: generated fault schedules,
   replayable traces, automatic shrinking of failures;
 * ``lint`` — raincheck static analysis: determinism and protocol
@@ -32,9 +29,9 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
   optional regression gating against a committed baseline.
 
 Everything runs in simulated time — each command finishes in seconds of
-wall clock regardless of how much virtual time it covers — except ``top``
-and ``soak --procs``, which drive a real multi-process cluster and run
-for the wall-clock duration you ask for.
+wall clock regardless of how much virtual time it covers — except ``top``,
+which drives a real multi-process cluster and runs for the wall-clock
+duration you ask for.
 """
 
 from __future__ import annotations
@@ -311,39 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=3)
     p.add_argument("--group-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=4)
-
-    p = sub.add_parser("soak", help="randomized churn with invariant checks")
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--procs", type=int, default=None, metavar="N",
-        help="run a REAL soak instead: N worker processes over localhost "
-        "UDP, probes shipped to the raintap collector, wall-clock contract "
-        "monitor gating on zero alerts (docs/TELEMETRY.md)",
-    )
-    p.add_argument(
-        "--seconds", type=float, default=5.0,
-        help="wall-clock run length of the --procs soak",
-    )
-    p.add_argument("--hop-interval", type=float, default=0.02)
-    p.add_argument(
-        "--kill", metavar="NODE@T[,NODE@T]", default=None,
-        help="SIGKILL NODE T wall seconds after start (with --procs)",
-    )
-    p.add_argument(
-        "--capture", metavar="FILE.jsonl", default=None,
-        help="write the merged probe feed as a capture file (--procs)",
-    )
-    p.add_argument(
-        "--postmortem", metavar="FILE.json", default=None,
-        help="where the breach postmortem bundle is written (--procs)",
-    )
-    p.add_argument(
-        "--expect-alerts", action="store_true",
-        help="with --procs: invert the gate — exit 0 only if at least one "
-        "alert fired and a postmortem bundle was cut (fault-injection CI)",
-    )
 
     p = sub.add_parser(
         "top",
@@ -852,13 +816,8 @@ def cmd_watch(args) -> int:
         if not args.quiet:
             print(f"will inject an ack blackout at t+{args.blackout_at:g}s")
 
-    seen_alerts = 0
-
     def report() -> None:
-        nonlocal seen_alerts
-        fresh = monitor.alerts[seen_alerts:]
-        seen_alerts = len(monitor.alerts)
-        for alert in fresh:
+        for alert in monitor.fresh_alerts():
             print("ALERT " + alert.describe())
         if not args.quiet:
             print(monitor.status_line())
@@ -868,7 +827,7 @@ def cmd_watch(args) -> int:
     cluster.run(args.seconds)
     monitor.evaluate()
     monitor.stop()
-    for alert in monitor.alerts[seen_alerts:]:
+    for alert in monitor.fresh_alerts():
         print("ALERT " + alert.describe())
     print(render_alerts(monitor.alerts))
     if args.expect_alerts and not monitor.alerts:
@@ -1037,119 +996,48 @@ def _parse_kill_spec(spec: str | None) -> dict[str, float]:
     return kills
 
 
-def _run_live(args, *, on_line) -> "object":
-    """Run a LiveCluster from parsed top/soak args (shared driver)."""
-    import asyncio
-
-    from repro.runtime.collector import LiveCluster
-
-    cluster = LiveCluster(
-        args.procs,
-        seconds=args.seconds,
-        hop_interval=args.hop_interval,
-        kill_at=_parse_kill_spec(args.kill),
-        capture_path=args.capture,
-        postmortem_path=args.postmortem,
-        metrics_port=getattr(args, "metrics_port", None),
-        report_every=getattr(args, "every", 1.0),
-        on_line=on_line,
+def _live_verdict(args, result) -> int:
+    """``repro top``'s exit code over a LiveRunResult."""
+    print(
+        f"live cluster: {args.procs} procs, {args.seconds:g}s, "
+        f"formed={result.formed}, events={result.events_released}, "
+        f"alerts={len(result.alerts)}, killed={result.killed or 'none'}"
     )
-    return asyncio.run(cluster.run())
-
-
-def _live_verdict(args, result, *, quiet: bool = False) -> int:
-    """Shared top/soak exit-code logic over a LiveRunResult."""
-    if not quiet:
-        print(
-            f"live cluster: {args.procs} procs, {args.seconds:g}s, "
-            f"formed={result.formed}, events={result.events_released}, "
-            f"alerts={len(result.alerts)}, killed={result.killed or 'none'}"
-        )
-        for alert in result.alerts:
-            print("  " + alert.describe())
-        if result.capture_path:
-            print(f"capture: {result.capture_path}")
-        if result.postmortem_path:
-            print(f"postmortem bundle: {result.postmortem_path}")
-    if getattr(args, "expect_alerts", False):
+    for alert in result.alerts:
+        print("  " + alert.describe())
+    if result.capture_path:
+        print(f"capture: {result.capture_path}")
+    if result.postmortem_path:
+        print(f"postmortem bundle: {result.postmortem_path}")
+    if not result.metrics_text.strip():
+        print("/metrics exposition came back empty")
+    if args.expect_alerts:
         ok = bool(result.alerts) and result.postmortem_path is not None
-        if not quiet:
-            print(f"expected alerts: {'fired' if ok else 'MISSING'}")
+        print(f"expected alerts: {'fired' if ok else 'MISSING'}")
         return 0 if ok else 1
     return 0 if result.clean else 1
 
 
 def cmd_top(args) -> int:
+    import asyncio
+
+    from repro.runtime.collector import LiveCluster
+
     try:
-        _parse_kill_spec(args.kill)
+        cluster = LiveCluster(
+            args.procs,
+            seconds=args.seconds,
+            hop_interval=args.hop_interval,
+            kill_at=_parse_kill_spec(args.kill),
+            capture_path=args.capture,
+            postmortem_path=args.postmortem,
+            metrics_port=args.metrics_port,
+            report_every=args.every,
+            on_line=print,
+        )
     except ValueError as exc:
         return _cli_error(str(exc))
-    result = _run_live(args, on_line=print)
-    return _live_verdict(args, result)
-
-
-def cmd_soak(args) -> int:
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    if args.procs is not None:
-        # the real thing: N OS processes over UDP, raintap plane attached
-        if args.procs < 2:
-            return _cli_error(f"--procs must be >= 2, got {args.procs}")
-        try:
-            _parse_kill_spec(args.kill)
-        except ValueError as exc:
-            return _cli_error(str(exc))
-        args.every = 1.0
-        result = _run_live(args, on_line=print)
-        if not result.metrics_text.strip():
-            print("soak: /metrics exposition came back empty")
-        rc = _live_verdict(args, result)
-        verdict = "clean" if rc == 0 else "FAILED"
-        print(f"soak --procs: {verdict}")
-        return rc
-
-    ids = [f"n{i:02d}" for i in range(args.nodes)]
-    cluster = RaincoreCluster(
-        ids, seed=args.seed, config=RaincoreConfig.tuned(ring_size=args.nodes)
-    )
-    cluster.start_all(form_time=30.0)
-    rng = cluster.loop.rng
-    rounds = int(args.duration)
-    sent = 0
-    for r in range(rounds):
-        for _ in range(2):
-            origin = ids[rng.randrange(args.nodes)]
-            if cluster.node(origin).state.value != "down":
-                cluster.node(origin).multicast(f"bg-{sent}")
-                sent += 1
-        roll = rng.random()
-        live = [x.node_id for x in cluster.live_nodes()]
-        if roll < 0.15 and len(live) > args.nodes // 2:
-            cluster.faults.crash_node(live[rng.randrange(len(live))])
-        elif roll < 0.30:
-            down = [x for x in ids if x not in live]
-            if down:
-                cluster.faults.recover_node(down[rng.randrange(len(down))])
-        elif roll < 0.40:
-            cluster.faults.lose_token()
-        cluster.run(1.0)
-    for nid in ids:
-        if cluster.node(nid).state.value == "down":
-            cluster.faults.recover_node(nid)
-    ok = cluster.run_until_converged(60.0, expected=set(ids))
-    dupes = sum(
-        len(cluster.listener(nid).delivery_keys)
-        - len(set(cluster.listener(nid).delivery_keys))
-        for nid in ids
-    )
-    print(
-        f"soak: {rounds}s virtual churn on {args.nodes} nodes, {sent} multicasts"
-    )
-    print(f"converged after quiescence: {ok}; duplicate deliveries: {dupes}")
-    regens = sum(cluster.node(nid).recovery.regenerations for nid in ids)
-    print(f"token regenerations during run: {regens}")
-    return 0 if ok and dupes == 0 else 1
+    return _live_verdict(args, asyncio.run(cluster.run()))
 
 
 def _run_chaos_schedule(schedule, fail_on_alerts: bool) -> tuple:
@@ -1438,7 +1326,6 @@ _COMMANDS = {
     "failover": cmd_failover,
     "merge": cmd_merge,
     "hierarchy": cmd_hierarchy,
-    "soak": cmd_soak,
     "top": cmd_top,
     "chaos": cmd_chaos,
     "lint": cmd_lint,

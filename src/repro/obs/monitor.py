@@ -36,7 +36,8 @@ Design rules:
   protocol state; attaching it cannot change a run (the
   ``monitor_overhead_ratio`` benchmark gates its cost).
 
-``repro watch`` renders the monitor's rolling status as a plain-text,
+``repro watch`` (simulator) and ``repro top`` (real cluster) both render
+the monitor's :meth:`~ContractMonitor.status_line` as a plain-text,
 redraw-free feed (CI-safe); chaos bundles carry fired alerts in their
 ``alerts`` section (schema ``repro.obs.bundle/2``), so every failure
 artifact says which contract broke first.  Full walkthroughs live in
@@ -73,6 +74,13 @@ __all__ = [
 #: collapse it exists to catch.  JOINING/DOWN nodes are not yet owed
 #: anything, so their windows reset.
 _UP_STATES = frozenset({"hungry", "eating", "starving"})
+
+#: Seconds between evaluation passes of a ticking monitor.
+TICK_INTERVAL = 0.25
+
+#: Trailing seconds over which :meth:`ContractMonitor.status_line` counts
+#: each node's token visits.
+RATE_WINDOW = 1.0
 
 
 @dataclass(frozen=True)
@@ -249,9 +257,7 @@ def check_wakeup_budget(w: RuleWindow) -> Breach | None:
 
     The paper's CPU argument: token-ring group communication costs each
     node L wakeups/s, against M·N for broadcast emulation and up to
-    6·M·N for 2PC.  ``min_rate`` (default 0) arms the other direction —
-    a floor, for asserting that :mod:`repro.baselines` adapters really
-    do pay their higher wakeup bill.
+    6·M·N for 2PC.
     """
     if w.uptime < w.span:
         return None
@@ -269,13 +275,6 @@ def check_wakeup_budget(w: RuleWindow) -> Breach | None:
             ceiling,
             f"{observed:.1f} wakeups/s > {ceiling:.1f}/s "
             f"(L={expected:.1f}/s for view of {w.view_size}, ε={epsilon:g})",
-        )
-    floor = w.params.get("min_rate", 0.0)
-    if floor > 0.0 and observed < floor:
-        return (
-            observed,
-            floor,
-            f"{observed:.1f} wakeups/s < configured floor {floor:.1f}/s",
         )
     return None
 
@@ -465,7 +464,6 @@ def paper_contract_rules(
     wakeup_slack: float = 10.0,
     detection_bound: float | None = None,
     detection_tolerance: float = 0.10,
-    bandwidth_budget: float | None = None,
     window: float = 1.0,
     for_duration: float = 0.5,
 ) -> list[RuleSpec]:
@@ -482,13 +480,12 @@ def paper_contract_rules(
     hop = config.hop_interval
     if detection_bound is None:
         detection_bound = config.transport.failure_detection_bound(segments)
-    if bandwidth_budget is None:
-        # one token forward per hop interval is the worst case a single
-        # node can legally sustain (it forwards only when it holds the
-        # token, but a 2-member view visits every 2*hop); budget on the
-        # small-view worst case so partitions stay in-contract.
-        visits_per_sec = 1.0 / (2.0 * hop)
-        bandwidth_budget = (config.max_token_bytes + 4096) * visits_per_sec
+    # one token forward per hop interval is the worst case a single node
+    # can legally sustain (it forwards only when it holds the token, but a
+    # 2-member view visits every 2*hop); budget on the small-view worst
+    # case so partitions stay in-contract.
+    visits_per_sec = 1.0 / (2.0 * hop)
+    bandwidth_budget = (config.max_token_bytes + 4096) * visits_per_sec
     stall_window = max(4.0 * config.hungry_timeout, 2.0)
     return [
         RuleSpec(
@@ -608,10 +605,12 @@ def realtime_contract_rules(
 class _NodeTrack:
     """Deterministic per-node derived state (fed only by probe events)."""
 
-    __slots__ = ("up_since", "view_size")
+    __slots__ = ("up_since", "state", "view_id", "view_size")
 
     def __init__(self) -> None:
         self.up_since: float | None = None
+        self.state = "?"
+        self.view_id: object = "-"
         self.view_size = 1
 
 
@@ -619,10 +618,10 @@ class ContractMonitor:
     """Evaluates a rule set over the live probe stream of one cluster.
 
     Subscribes to the bus, retains a trailing buffer bounded by the
-    longest rule window, and ticks on the event loop every ``interval``
-    virtual seconds.  At each tick every rule is evaluated per scope;
-    breaches must persist ``for_duration`` before they latch an
-    :class:`Alert` (re-armed after the breach clears).
+    longest rule window, and ticks on the event loop every
+    :data:`TICK_INTERVAL` virtual seconds.  At each tick every rule is
+    evaluated per scope; breaches must persist ``for_duration`` before
+    they latch an :class:`Alert` (re-armed after the breach clears).
 
     The monitor is passive: it never emits probes, draws no randomness,
     and mutates nothing outside itself — attaching it cannot change a
@@ -634,11 +633,8 @@ class ContractMonitor:
         bus: ProbeBus | None,
         rules: list[RuleSpec],
         *,
-        interval: float = 0.25,
         clock=None,
     ) -> None:
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
         if bus is None and clock is None:
             raise ValueError("need a bus or an explicit clock")
         self.bus = bus
@@ -647,12 +643,12 @@ class ContractMonitor:
         #: is what "ContractMonitor in wall-clock mode" means.
         self.loop = clock if clock is not None else bus.loop
         self.rules = list(rules)
-        self.interval = interval
         self.alerts: list[Alert] = []
+        self._alerts_reported = 0
         self.ticks = 0
         self.started_at: float | None = None
         self._events: list[ProbeEvent] = []
-        self._horizon = max((r.window for r in self.rules), default=1.0)
+        self._horizon = max([RATE_WINDOW] + [r.window for r in self.rules])
         self._tracks: dict[str, _NodeTrack] = {}
         #: (rule name, node) -> sim time the current continuous breach began
         self._breached_since: dict[tuple[str, str], float] = {}
@@ -688,13 +684,16 @@ class ContractMonitor:
         kind = event.kind
         if kind == "node.state":
             track = self._track(event.node)
-            if event.args[1] in _UP_STATES:
+            track.state = event.args[1]
+            if track.state in _UP_STATES:
                 if track.up_since is None:
                     track.up_since = event.at
             else:
                 track.up_since = None
         elif kind == "view.change":
-            self._track(event.node).view_size = max(1, len(event.args[1]))
+            track = self._track(event.node)
+            track.view_id = event.args[0]
+            track.view_size = max(1, len(event.args[1]))
 
     def _prune(self, now: float) -> None:
         cutoff = now - self._horizon
@@ -729,7 +728,7 @@ class ContractMonitor:
             self.bus.unsubscribe(self._on_event)
 
     def _schedule(self) -> None:
-        self._timer = self.loop.call_later(self.interval, self._tick)
+        self._timer = self.loop.call_later(TICK_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         if not self._running:
@@ -829,33 +828,47 @@ class ContractMonitor:
         """All fired alerts as JSON-safe records (bundle ``alerts`` form)."""
         return [a.record() for a in self.alerts]
 
-    def status_line(self, now: float | None = None) -> str:
-        """One redraw-free health line for the ``repro watch`` feed.
+    def fresh_alerts(self) -> list[Alert]:
+        """Alerts fired since the previous call (a live feed's cursor)."""
+        fresh = self.alerts[self._alerts_reported:]
+        self._alerts_reported = len(self.alerts)
+        return fresh
 
-        ``t=<sim>s  <ok|ALERT>  <node>:<state> ...`` where a node's state
-        is ``ok`` or the comma-joined names of its currently-breached
-        rules; cluster-scope breaches show under the ``*`` pseudo-node.
+    def status_line(self, now: float | None = None) -> str:
+        """One redraw-free health line: the ``repro watch``/``repro top`` feed.
+
+        ``t=<now>s  <ok|ALERT>  <node>:<state> v<view> <visits>/s ...``
+        where each node cell shows the node's last lifecycle state, its
+        view id, and its token visits over the last :data:`RATE_WINDOW`
+        seconds of the monitor's clock, followed by ``!rule[,rule]`` when
+        rules are currently breached on that node; cluster-scope breaches
+        show under the ``*`` pseudo-node.  ``now`` only sets the displayed
+        time (``repro top`` shows seconds since start).
         """
         if now is None:
             now = self.loop.now
-        nodes = sorted(self._tracks)
-        marks: list[str] = []
-        any_breach = False
-        for node in nodes + ["*"]:
-            breached = sorted(
-                rule_name
-                for (rule_name, rule_node), (_, _, bad) in self._last.items()
-                if rule_node == node and bad
+        since = self.loop.now - RATE_WINDOW
+        visits = dict.fromkeys(self._tracks, 0)
+        for e in self._events:
+            if e.kind == "token.accept" and e.at > since and e.node in visits:
+                visits[e.node] += 1
+        breached: dict[str, list[str]] = {}
+        for (rule_name, node), (_, _, bad) in sorted(self._last.items()):
+            if bad:
+                breached.setdefault(node, []).append(rule_name)
+        cells = []
+        for node, track in sorted(self._tracks.items()):
+            cell = (
+                f"{node}:{track.state:<8} v{track.view_id} "
+                f"{visits[node] / RATE_WINDOW:5.1f}/s"
             )
-            if node == "*" and not breached:
-                continue
-            if breached:
-                any_breach = True
-                marks.append(f"{node}:{','.join(breached)}")
-            else:
-                marks.append(f"{node}:ok")
-        flag = "ALERT" if any_breach or self.alerts else "ok   "
-        body = "  ".join(marks) if marks else "(no nodes probed yet)"
+            if node in breached:
+                cell += " !" + ",".join(breached[node])
+            cells.append(cell)
+        if "*" in breached:
+            cells.append("*:!" + ",".join(breached["*"]))
+        flag = "ALERT" if breached or self.alerts else "ok   "
+        body = "  ".join(cells) if cells else "(no nodes probed yet)"
         return f"t={now:8.2f}s  {flag}  {body}  alerts={len(self.alerts)}"
 
 

@@ -28,9 +28,8 @@ canonical, time-ordered feed the simulator-era consumers expect:
   every worker a ``pull``, gathers their flight-recorder rings, and cuts
   a standard ``repro.obs.bundle/2`` with the alerts attached.
 
-:class:`LiveCluster` at the bottom is the driver used by ``repro soak
---procs N`` and ``repro top``: spawn N worker processes, attach the
-collector, watch, gate.
+:class:`LiveCluster` at the bottom is the driver used by ``repro top``:
+spawn N worker processes, attach the collector, watch, gate.
 """
 
 from __future__ import annotations
@@ -165,10 +164,6 @@ class TelemetryCollector:
         self.frames_dropped: dict[str, int] = {}
         self.gaps = 0
         self.events_lost = 0
-        #: Live per-node view for ``repro top``: state / view / accepts.
-        self.states: dict[str, str] = {}
-        self.views: dict[str, tuple[Any, int]] = {}
-        self.accepts: dict[str, int] = {}
         self.port: int | None = None
         self.metrics_port: int | None = None
         self.postmortem: dict | None = None
@@ -413,7 +408,6 @@ class TelemetryCollector:
             event = event_from_record(record)
             self.agg.observe(event)
             self.monitor.ingest(event)
-            self._track(event)
             if self._capture is not None:
                 self._capture.write(
                     json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -426,29 +420,6 @@ class TelemetryCollector:
         fired = self.monitor.evaluate(now)
         self._postmortem_step(fired, now, force=force)
         return len(batch)
-
-    def _track(self, event: ProbeEvent) -> None:
-        kind = event.kind
-        if kind == "node.state":
-            self.states[event.node] = str(event.args[1])
-        elif kind == "view.change":
-            self.views[event.node] = (event.args[0], len(event.args[1]))
-        elif kind == "token.accept":
-            self.accepts[event.node] = self.accepts.get(event.node, 0) + 1
-
-    def node_status(self) -> dict[str, dict[str, Any]]:
-        """Per-node live status for the ``repro top`` view."""
-        nodes = sorted(set(self.states) | set(self.views) | set(self.accepts))
-        return {
-            node: {
-                "state": self.states.get(node, "?"),
-                "view": self.views.get(node, ("-", 0))[0],
-                "members": self.views.get(node, ("-", 0))[1],
-                "accepts": self.accepts.get(node, 0),
-            }
-            for node in nodes
-            if node != COLLECTOR_NODE
-        }
 
     # ------------------------------------------------------------------
     # breach postmortem
@@ -581,7 +552,7 @@ class TelemetryCollector:
 
 
 # ----------------------------------------------------------------------
-# the multi-process driver (repro soak --procs N, repro top)
+# the multi-process driver (repro top)
 # ----------------------------------------------------------------------
 @dataclass
 class LiveRunResult:
@@ -599,7 +570,7 @@ class LiveRunResult:
 
     @property
     def clean(self) -> bool:
-        """The soak gate: formed, zero alerts, live metrics, clean exits."""
+        """The clean gate: formed, zero alerts, live metrics, clean exits."""
         return (
             self.formed
             and not self.alerts
@@ -631,7 +602,6 @@ class LiveCluster:
         capture_path: str | Path | None = None,
         postmortem_path: str | Path | None = None,
         metrics_port: int | None = None,
-        silence: float = 1.0,
         report_every: float = 1.0,
         on_line: Callable[[str], None] | None = None,
     ) -> None:
@@ -647,41 +617,14 @@ class LiveCluster:
         self.capture_path = capture_path
         self.postmortem_path = postmortem_path
         self.metrics_port = metrics_port
-        self.silence = silence
         self.report_every = report_every
         self.on_line = on_line
         self.collector: TelemetryCollector | None = None
         self.formed_at: float | None = None
-        self._accept_snapshot: dict[str, int] = {}
-        self._last_report: float | None = None
 
     def _line(self, text: str) -> None:
         if self.on_line is not None:
             self.on_line(text)
-
-    def status_line(self, t: float) -> str:
-        """One redraw-free ``repro top`` line: per-node state, view, rate."""
-        assert self.collector is not None
-        status = self.collector.node_status()
-        dt = t - self._last_report if self._last_report is not None else None
-        cells = []
-        for node in self.ids:
-            s = status.get(node)
-            if s is None:
-                cells.append(f"{node}:—")
-                continue
-            accepts = s["accepts"]
-            if dt and dt > 0:
-                rate = (accepts - self._accept_snapshot.get(node, 0)) / dt
-                rate_str = f"{rate:5.1f} tok/s"
-            else:
-                rate_str = f"{accepts:>4} tok"
-            self._accept_snapshot[node] = accepts
-            cells.append(f"{node}:{s['state']:<8} v{s['view']} {rate_str}")
-        self._last_report = t
-        alerts = len(self.collector.monitor.alerts)
-        flag = "ALERT" if alerts else "ok   "
-        return f"t={t:7.2f}s  {flag}  " + "  ".join(cells) + f"  alerts={alerts}"
 
     def _worker_cmd(self, nid: str, ports: dict[str, int]) -> list[str]:
         assert self.collector is not None and self.collector.port is not None
@@ -708,13 +651,10 @@ class LiveCluster:
         config = RaincoreConfig.tuned(
             ring_size=len(self.ids), hop_interval=self.hop_interval
         )
-        rules = realtime_contract_rules(
-            config, len(self.ids), silence_timeout=self.silence
-        )
+        rules = realtime_contract_rules(config, len(self.ids))
         collector = TelemetryCollector(
             rules,
             clock=clock,
-            silence=self.silence,
             capture_path=self.capture_path,
             postmortem_path=self.postmortem_path,
         )
@@ -766,11 +706,12 @@ class LiveCluster:
                         procs[nid].kill()
                         killed.append(nid)
                         del pending_kills[nid]
-                        self._line(f"t={t:7.2f}s  KILL   {nid} (SIGKILL injected)")
+                        self._line(f"t={t:8.2f}s  KILL   {nid} (SIGKILL injected)")
                 if t >= next_report:
                     next_report += self.report_every
-                    self._report_alerts()
-                    self._line(self.status_line(t))
+                    for alert in collector.monitor.fresh_alerts():
+                        self._line("ALERT " + alert.describe())
+                    self._line(collector.monitor.status_line(t))
                 if t > deadline:  # hang guard: a wedged worker fails the run
                     for p in procs.values():
                         if p.returncode is None:
@@ -782,7 +723,8 @@ class LiveCluster:
             # drain in-flight frames, then force-release and finalize
             await asyncio.sleep(max(0.3, 3 * collector.reorder))
             collector.flush(force=True)
-            self._report_alerts()
+            for alert in collector.monitor.fresh_alerts():
+                self._line("ALERT " + alert.describe())
             metrics = collector.metrics_text()
             collector.close()
 
@@ -802,11 +744,3 @@ class LiveCluster:
             killed=killed,
         )
 
-    _alerts_seen = 0
-
-    def _report_alerts(self) -> None:
-        assert self.collector is not None
-        fresh = self.collector.monitor.alerts[self._alerts_seen:]
-        self._alerts_seen = len(self.collector.monitor.alerts)
-        for alert in fresh:
-            self._line("ALERT " + alert.describe())

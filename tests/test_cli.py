@@ -74,16 +74,6 @@ def test_scaling_small(capsys):
     assert "2.0" in out  # ~2x scaling appears in the table
 
 
-@pytest.mark.slow
-def test_soak_short(capsys):
-    code, out = run_cli(
-        capsys, "soak", "--nodes", "5", "--duration", "8", "--seed", "3"
-    )
-    assert code == 0
-    assert "converged after quiescence: True" in out
-    assert "duplicate deliveries: 0" in out
-
-
 def test_trace_swimlanes(capsys):
     code, out = run_cli(
         capsys, "trace", "--duration", "0.05", "--swimlanes", "--limit", "8"
@@ -297,6 +287,8 @@ def test_watch_known_bad_spike_schedule_fires(capsys):
     assert code == 0  # --expect-alerts inverts the gate
     assert "ALERT" in out
     assert "token-rate" in out
+    # ... and the status feed names the breached rule in the node's cell
+    assert re.search(r"n0\d:\S+\s+v\S+\s+\d+\.\d/s !token-rate", out)
 
 
 def test_watch_fail_on_alerts_exits_one(capsys):
@@ -321,6 +313,36 @@ def test_watch_expect_alerts_on_clean_run_exits_one(capsys):
     )
     assert code == 1
     assert "expected at least one contract alert" in out
+
+
+def test_soak_is_an_unknown_command(capsys):
+    # retired: the multi-process run is `top`, the churn run is `chaos`
+    with pytest.raises(SystemExit) as exc:
+        main(["soak"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'soak'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--procs", "1"], "need at least 2 worker processes"),
+        (["--procs", "2", "--kill", "n09@0.5"], "kill targets not in the cluster"),
+    ],
+)
+def test_top_bad_arguments_exit_two_before_spawning(
+    capsys, monkeypatch, argv, message
+):
+    from repro.runtime.collector import LiveCluster
+
+    def no_run(self):
+        raise AssertionError("a worker would have been spawned")
+
+    monkeypatch.setattr(LiveCluster, "run", no_run)
+    code = main(["top", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {message}" in captured.err
 
 
 def test_chaos_replay_missing_trace_exits_two(capsys, tmp_path):

@@ -17,6 +17,9 @@ byte-for-byte.
 
 from __future__ import annotations
 
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos.engine import ChaosEngine
@@ -33,12 +36,17 @@ from repro.obs.monitor import (
 )
 
 
-def build(nodes=4, seed=11, segments=1, detection_bound=None):
-    """Probed cluster + monitor running the paper rule set."""
+def build(nodes=4, seed=11, segments=1, detection_bound=None, record=None):
+    """Probed cluster + monitor running the paper rule set.
+
+    ``record``, when given, is a list that receives every probe event.
+    """
     ids = [f"n{i:02d}" for i in range(nodes)]
     config = RaincoreConfig.tuned(ring_size=nodes)
     cluster = RaincoreCluster(ids, seed=seed, segments=segments, config=config)
     bus = cluster.enable_probes()
+    if record is not None:
+        bus.subscribe(record.append)
     rules = paper_contract_rules(
         config, nodes, segments=segments, detection_bound=detection_bound
     )
@@ -48,17 +56,38 @@ def build(nodes=4, seed=11, segments=1, detection_bound=None):
     return cluster, monitor
 
 
+def cells(line):
+    """node -> (state, view id, visits/s, breached rules) of a status line."""
+    return {
+        m["node"]: (m["state"], m["view"], float(m["rate"]), m["rules"] or "")
+        for m in re.finditer(
+            r"(?P<node>n\d\d):(?P<state>\S+)\s+v(?P<view>\S+)\s+"
+            r"(?P<rate>\d+\.\d)/s(?: !(?P<rules>\S+))?",
+            line,
+        )
+    }
+
+
 # ----------------------------------------------------------------------
 # clean seeds fire nothing
 # ----------------------------------------------------------------------
 def test_clean_run_fires_zero_alerts():
-    cluster, monitor = build()
+    events = []
+    cluster, monitor = build(record=events)
     cluster.run(5.0)
     monitor.evaluate()
     assert monitor.alerts == [], render_alerts(monitor.alerts)
     line = monitor.status_line()
     assert "ok" in line and "ALERT" not in line
     assert line.startswith("t=")
+    shown = cells(line)
+    assert sorted(shown) == ["n00", "n01", "n02", "n03"], line
+    views = {e.node: str(e.args[0]) for e in events if e.kind == "view.change"}
+    for node, (state, view_id, rate, rules) in shown.items():
+        assert state == cluster.node(node).state.value
+        assert view_id == views[node]
+        assert rate > 12.5  # L = 25/s for four nodes, inside the tolerance
+        assert rules == ""
 
 
 def test_clean_crash_and_recover_fires_zero_alerts():
@@ -91,7 +120,11 @@ def test_delay_spikes_collapse_token_rate():
     worst = rate_alerts[0]
     assert worst.severity == "critical"
     assert worst.value < worst.bound  # observed visits/s under the floor
-    assert "ALERT" in monitor.status_line()
+    line = monitor.status_line()
+    assert "ALERT" in line
+    shown = cells(line)
+    for alert in rate_alerts:
+        assert "token-rate" in shown[alert.node][3].split(","), line
 
 
 def test_ack_blackout_breaks_fd_latency_bound():
@@ -105,6 +138,41 @@ def test_ack_blackout_breaks_fd_latency_bound():
     fd_alerts = [a for a in monitor.alerts if a.rule == "fd-latency"]
     assert fd_alerts, render_alerts(monitor.alerts)
     assert fd_alerts[0].value > 0.15
+
+
+def test_ingest_with_a_stub_clock_renders_the_same_cells():
+    # The repro top path: no bus, events fed through ingest() by the
+    # collector, time read from an injected clock.
+    events = []
+    cluster, monitor = build(seed=11, record=events)
+    cluster.run(2.0)
+    cluster.faults.set_delay_spikes(1.0, 0.035)
+    cluster.run(2.0)
+    clock = SimpleNamespace(now=cluster.loop.now)
+    fed = ContractMonitor(None, monitor.rules, clock=clock)
+    for event in events:
+        fed.ingest(event)
+    monitor.evaluate()
+    fed.evaluate()
+    live, replayed = monitor.status_line(), fed.status_line()
+    assert cells(live) and cells(replayed) == cells(live)
+    assert any(rules for *_, rules in cells(replayed).values())
+    # Only the latched-alert tail may differ: alerts need sustained breach.
+    assert replayed.split("  alerts=")[0] == live.split("  alerts=")[0]
+
+
+def test_fresh_alerts_returns_each_alert_exactly_once():
+    cluster, monitor = build(seed=11)
+    cluster.run(2.0)
+    cluster.faults.set_delay_spikes(1.0, 0.035)
+    seen = []
+    for _ in range(8):
+        cluster.run(0.5)
+        seen += monitor.fresh_alerts()
+    monitor.evaluate()
+    seen += monitor.fresh_alerts()
+    assert seen and seen == monitor.alerts
+    assert monitor.fresh_alerts() == []
 
 
 def test_alert_stream_is_deterministic_across_same_seed_runs():
